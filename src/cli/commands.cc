@@ -192,6 +192,21 @@ util::Status ValidateSparsityFlag(double sparsity) {
   return util::Status::OK();
 }
 
+/// Reads a sketch-size flag (--k, --sketch-k): at least 1, checked while
+/// still signed, before a negative value could wrap to a huge size_t.
+util::Result<size_t> SketchSizeFlag(const Flags& flags,
+                                    const std::string& name,
+                                    int64_t default_value) {
+  TABSKETCH_ASSIGN_OR_RETURN(const int64_t k,
+                             flags.GetInt(name, default_value));
+  if (k < 1) {
+    std::ostringstream msg;
+    msg << "--" << name << " (the sketch size) must be at least 1, got " << k;
+    return util::Status::InvalidArgument(msg.str());
+  }
+  return static_cast<size_t>(k);
+}
+
 int CmdGenerate(const Flags& flags, std::ostream& out, std::ostream& err) {
   TABSKETCH_RETURN_CLI(flags.AllowOnly(
       {"dataset", "out", "rows", "cols", "days", "seed", "metrics-json", "trace-json", "audit-rate"}));
@@ -277,7 +292,7 @@ int CmdSketch(const Flags& flags, std::ostream& out, std::ostream& err) {
   TABSKETCH_ASSIGN_CLI(const int64_t tile_cols,
                        flags.GetInt("tile-cols", 0));
   TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t k, flags.GetInt("k", 256));
+  TABSKETCH_ASSIGN_CLI(const size_t k, SketchSizeFlag(flags, "k", 256));
   TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
   TABSKETCH_ASSIGN_CLI(const double sparsity,
                        flags.GetDouble("sparsity", 1.0));
@@ -294,7 +309,7 @@ int CmdSketch(const Flags& flags, std::ostream& out, std::ostream& err) {
                                       static_cast<size_t>(tile_cols));
   if (!grid.ok()) return Fail(err, grid.status());
 
-  core::SketchParams params{.p = p, .k = static_cast<size_t>(k),
+  core::SketchParams params{.p = p, .k = k,
                             .seed = static_cast<uint64_t>(seed),
                             .sparsity = sparsity};
   auto sketcher = core::Sketcher::Create(params);
@@ -327,7 +342,7 @@ int CmdDistance(const Flags& flags, std::ostream& out, std::ostream& err) {
   TABSKETCH_ASSIGN_CLI(const std::string rect2_text,
                        flags.GetRequired("rect2"));
   TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t k, flags.GetInt("k", 256));
+  TABSKETCH_ASSIGN_CLI(const size_t k, SketchSizeFlag(flags, "k", 256));
   TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
 
   auto matrix = table::ReadBinary(table_path);
@@ -338,6 +353,11 @@ int CmdDistance(const Flags& flags, std::ostream& out, std::ostream& err) {
   if (!rect2.ok()) return Fail(err, rect2.status());
   const auto& r1 = *rect1;
   const auto& r2 = *rect2;
+  if (r1[2] == 0 || r1[3] == 0 || r2[2] == 0 || r2[3] == 0) {
+    return Fail(err, util::Status::InvalidArgument(
+                         "rectangles must have at least one row and one "
+                         "column (rect = row,col,rows,cols)"));
+  }
   if (r1[2] != r2[2] || r1[3] != r2[3]) {
     return Fail(err, util::Status::InvalidArgument(
                          "rectangles must have equal dimensions"));
@@ -350,7 +370,7 @@ int CmdDistance(const Flags& flags, std::ostream& out, std::ostream& err) {
 
   // Validate the family (in particular p in (0, 2]) before LpDistance, whose
   // precondition on p is a hard CHECK rather than a recoverable status.
-  core::SketchParams params{.p = p, .k = static_cast<size_t>(k),
+  core::SketchParams params{.p = p, .k = k,
                             .seed = static_cast<uint64_t>(seed)};
   auto sketcher = core::Sketcher::Create(params);
   if (!sketcher.ok()) return Fail(err, sketcher.status());
@@ -397,7 +417,8 @@ int CmdCluster(const Flags& flags, std::ostream& out, std::ostream& err) {
   TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
   TABSKETCH_ASSIGN_CLI(const std::string mode,
                        flags.GetString("mode", "precomputed"));
-  TABSKETCH_ASSIGN_CLI(const int64_t sketch_k, flags.GetInt("sketch-k", 256));
+  TABSKETCH_ASSIGN_CLI(const size_t sketch_k,
+                       SketchSizeFlag(flags, "sketch-k", 256));
   TABSKETCH_ASSIGN_CLI(const double sparsity,
                        flags.GetDouble("sparsity", 1.0));
   TABSKETCH_RETURN_CLI(ValidateSparsityFlag(sparsity));
@@ -453,7 +474,7 @@ int CmdCluster(const Flags& flags, std::ostream& out, std::ostream& err) {
     }
     auto sketch = cluster::SketchBackend::Create(
         &*grid,
-        {.p = p, .k = static_cast<size_t>(sketch_k),
+        {.p = p, .k = sketch_k,
          .seed = static_cast<uint64_t>(seed), .sparsity = sparsity},
         mode == "precomputed" ? cluster::SketchMode::kPrecomputed
                               : cluster::SketchMode::kOnDemand,
@@ -554,7 +575,7 @@ int CmdPoolBuild(const Flags& flags, std::ostream& out, std::ostream& err) {
                        flags.GetRequired("table"));
   TABSKETCH_ASSIGN_CLI(const std::string out_path, flags.GetRequired("out"));
   TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t k, flags.GetInt("k", 64));
+  TABSKETCH_ASSIGN_CLI(const size_t k, SketchSizeFlag(flags, "k", 64));
   TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
   TABSKETCH_ASSIGN_CLI(const double sparsity,
                        flags.GetDouble("sparsity", 1.0));
@@ -576,7 +597,7 @@ int CmdPoolBuild(const Flags& flags, std::ostream& out, std::ostream& err) {
   options.threads = ThreadsFromFlag(threads);
   util::WallTimer timer;
   auto pool = core::SketchPool::Build(
-      *matrix, {.p = p, .k = static_cast<size_t>(k),
+      *matrix, {.p = p, .k = k,
                 .seed = static_cast<uint64_t>(seed), .sparsity = sparsity},
       options);
   if (!pool.ok()) return Fail(err, pool.status());
@@ -648,7 +669,7 @@ int CmdQuery(const Flags& flags, std::ostream& out, std::ostream& err) {
   TABSKETCH_ASSIGN_CLI(const std::string batch_path,
                        flags.GetRequired("batch"));
   TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t k, flags.GetInt("k", 256));
+  TABSKETCH_ASSIGN_CLI(const size_t k, SketchSizeFlag(flags, "k", 256));
   TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
   TABSKETCH_ASSIGN_CLI(const double sparsity,
                        flags.GetDouble("sparsity", 1.0));
@@ -696,7 +717,7 @@ int CmdQuery(const Flags& flags, std::ostream& out, std::ostream& err) {
   spec.tile_rows = static_cast<size_t>(tile_rows);
   spec.tile_cols = static_cast<size_t>(tile_cols);
   spec.sketches_path = sketches_path;
-  spec.params = core::SketchParams{.p = p, .k = static_cast<size_t>(k),
+  spec.params = core::SketchParams{.p = p, .k = k,
                                    .seed = static_cast<uint64_t>(seed),
                                    .sparsity = sparsity};
   spec.cache_bytes = static_cast<size_t>(cache_bytes);
@@ -797,7 +818,7 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   TABSKETCH_ASSIGN_CLI(const int64_t tile_cols,
                        flags.GetInt("tile-cols", 0));
   TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t k, flags.GetInt("k", 256));
+  TABSKETCH_ASSIGN_CLI(const size_t k, SketchSizeFlag(flags, "k", 256));
   TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
   TABSKETCH_ASSIGN_CLI(const double sparsity,
                        flags.GetDouble("sparsity", 1.0));
@@ -902,7 +923,7 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   spec.tile_rows = static_cast<size_t>(tile_rows);
   spec.tile_cols = static_cast<size_t>(tile_cols);
   spec.sketches_path = sketches_path;
-  spec.params = core::SketchParams{.p = p, .k = static_cast<size_t>(k),
+  spec.params = core::SketchParams{.p = p, .k = k,
                                    .seed = static_cast<uint64_t>(seed),
                                    .sparsity = sparsity};
   spec.cache_bytes = static_cast<size_t>(cache_bytes);
@@ -1014,7 +1035,7 @@ int CmdIngest(const Flags& flags, std::ostream& out, std::ostream& err) {
                        flags.GetInt("tile-cols", 0));
   TABSKETCH_ASSIGN_CLI(const std::string out_path, flags.GetRequired("out"));
   TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t k, flags.GetInt("k", 256));
+  TABSKETCH_ASSIGN_CLI(const size_t k, SketchSizeFlag(flags, "k", 256));
   TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
   TABSKETCH_ASSIGN_CLI(const double sparsity,
                        flags.GetDouble("sparsity", 1.0));
@@ -1048,7 +1069,7 @@ int CmdIngest(const Flags& flags, std::ostream& out, std::ostream& err) {
     if (!store.has_value()) {
       TABSKETCH_ASSIGN_CLI(
           store, core::GrowingTableSketcher::Create(
-                     core::SketchParams{.p = p, .k = static_cast<size_t>(k),
+                     core::SketchParams{.p = p, .k = k,
                                         .seed = static_cast<uint64_t>(seed),
                                         .sparsity = sparsity},
                      piece->rows(), static_cast<size_t>(tile_rows),

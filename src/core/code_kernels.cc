@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "core/sketch_dots_inl.h"
 #include "util/logging.h"
 
 #if defined(TABSKETCH_HAVE_AVX2)
@@ -43,6 +44,12 @@ uint64_t SumSquaredDiff16(const uint16_t* a, const uint16_t* b, size_t k) {
     sum += static_cast<uint64_t>(d * d);
   }
   return sum;
+}
+
+void SketchDots(const double* data, size_t rows, size_t cols,
+                size_t row_stride, const double* kernels, size_t k,
+                double* out) {
+  SketchDotsBody(data, rows, cols, row_stride, kernels, k, out);
 }
 
 }  // namespace scalar
@@ -100,6 +107,18 @@ uint64_t SumSquaredDiff(const uint16_t* a, const uint16_t* b, size_t k) {
   if (Avx2Active()) return avx2::SumSquaredDiff16(a, b, k);
 #endif
   return scalar::SumSquaredDiff16(a, b, k);
+}
+
+void SketchDots(const double* data, size_t rows, size_t cols,
+                size_t row_stride, const double* kernels, size_t k,
+                double* out) {
+#if defined(TABSKETCH_HAVE_AVX2)
+  if (Avx2Active()) {
+    avx2::SketchDots(data, rows, cols, row_stride, kernels, k, out);
+    return;
+  }
+#endif
+  scalar::SketchDots(data, rows, cols, row_stride, kernels, k, out);
 }
 
 namespace {

@@ -46,6 +46,18 @@ double MedianAbsDiff(const uint16_t* a, const uint16_t* b, size_t k,
 uint64_t SumSquaredDiff(const uint8_t* a, const uint8_t* b, size_t k);
 uint64_t SumSquaredDiff(const uint16_t* a, const uint16_t* b, size_t k);
 
+/// The dense sketch kernel behind Sketcher::SketchOf: for each of the k
+/// kernels i, out[i] = sum over the rows x cols window at `data` (row stride
+/// `row_stride`) of x_p * kernels[p * k + i], with p the row-major position
+/// in the window and `kernels` the family's position-major copy
+/// (T[p * k + i] = R_i at p). Each out[i] is accumulated in exactly the
+/// order of the kernel-major loop `acc += x_p * R_i[p]`, so every variant is
+/// bit-identical to it, except that a NaN result is always the canonical
+/// quiet NaN (core/sketch_dots_inl.h). rows, cols and k must be > 0.
+void SketchDots(const double* data, size_t rows, size_t cols,
+                size_t row_stride, const double* kernels, size_t k,
+                double* out);
+
 /// True when the AVX2 kernel translation unit was compiled in
 /// (TABSKETCH_SIMD=ON on an x86-64 toolchain).
 bool Avx2CompiledIn();
@@ -53,14 +65,18 @@ bool Avx2CompiledIn();
 /// i.e. the dispatched entry points above take the vector path.
 bool Avx2Active();
 
-/// Scalar reference implementations, always available. The dispatched entry
-/// points above must produce bit-identical results; the code-kernel tests
-/// assert exactly that on whatever hardware they run.
+/// Scalar reference implementations, always available (SketchDots here is
+/// the baseline-ISA copy of the shared loop body). The dispatched entry
+/// points above must produce bit-identical results; the kernel tests assert
+/// exactly that on whatever hardware they run.
 namespace scalar {
 void AbsDiff8(const uint8_t* a, const uint8_t* b, size_t k, uint16_t* out);
 void AbsDiff16(const uint16_t* a, const uint16_t* b, size_t k, uint16_t* out);
 uint64_t SumSquaredDiff8(const uint8_t* a, const uint8_t* b, size_t k);
 uint64_t SumSquaredDiff16(const uint16_t* a, const uint16_t* b, size_t k);
+void SketchDots(const double* data, size_t rows, size_t cols,
+                size_t row_stride, const double* kernels, size_t k,
+                double* out);
 }  // namespace scalar
 
 }  // namespace tabsketch::core::kernels

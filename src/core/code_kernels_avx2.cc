@@ -1,20 +1,25 @@
-// AVX2 variants of the code-distance kernels. This translation unit is the
-// only one compiled with -mavx2 (see src/CMakeLists.txt); it is added to the
-// build only when TABSKETCH_SIMD is ON and the target is x86-64, and its
-// entry points are only called after a runtime __builtin_cpu_supports check
-// (kernels::Avx2Active), so no AVX2 instruction can leak onto an older CPU.
+// AVX2 variants of the code-distance kernels and of the dense sketch kernel.
+// This translation unit is the only one compiled with -mavx2 (see
+// src/CMakeLists.txt); it is added to the build only when TABSKETCH_SIMD is
+// ON and the target is x86-64, and its entry points are only called after a
+// runtime __builtin_cpu_supports check (kernels::Avx2Active), so no AVX2
+// instruction can leak onto an older CPU.
 //
 // Every kernel is integer-exact: widen/compare/accumulate only, no float
 // math, so the results are bit-identical to the scalar reference — the
 // property the query and k-means byte-identity guarantees rest on. The
 // vector bodies process elements in order (cvtepu8/16 widening), and tails
-// fall through to the scalar loops.
+// fall through to the scalar loops. SketchDots is the shared loop body of
+// core/sketch_dots_inl.h compiled for AVX2: floating point, but in the
+// reference accumulation order with no contraction, so equally bit-identical.
 
 #include "core/code_kernels_avx2.h"
 
 #if defined(TABSKETCH_HAVE_AVX2)
 
 #include <immintrin.h>
+
+#include "core/sketch_dots_inl.h"
 
 namespace tabsketch::core::kernels::avx2 {
 namespace {
@@ -124,6 +129,12 @@ uint64_t SumSquaredDiff16(const uint16_t* a, const uint16_t* b, size_t k) {
     sum += static_cast<uint64_t>(d * d);
   }
   return sum;
+}
+
+void SketchDots(const double* data, size_t rows, size_t cols,
+                size_t row_stride, const double* kernels, size_t k,
+                double* out) {
+  SketchDotsBody(data, rows, cols, row_stride, kernels, k, out);
 }
 
 }  // namespace tabsketch::core::kernels::avx2

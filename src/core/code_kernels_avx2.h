@@ -15,6 +15,9 @@ void AbsDiff8(const uint8_t* a, const uint8_t* b, size_t k, uint16_t* out);
 void AbsDiff16(const uint16_t* a, const uint16_t* b, size_t k, uint16_t* out);
 uint64_t SumSquaredDiff8(const uint8_t* a, const uint8_t* b, size_t k);
 uint64_t SumSquaredDiff16(const uint16_t* a, const uint16_t* b, size_t k);
+void SketchDots(const double* data, size_t rows, size_t cols,
+                size_t row_stride, const double* kernels, size_t k,
+                double* out);
 
 }  // namespace tabsketch::core::kernels::avx2
 

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/code_kernels.h"
 #include "core/stable_matrix.h"
 #include "fft/correlate.h"
 #include "util/logging.h"
@@ -78,7 +79,7 @@ util::Result<Sketcher> Sketcher::Create(const SketchParams& params) {
 Sketcher::Sketcher(const SketchParams& params)
     : params_(params), cache_(std::make_shared<MatrixCache>()) {}
 
-const std::vector<table::Matrix>& Sketcher::MatricesFor(size_t rows,
+const Sketcher::DenseKernels& Sketcher::DenseKernelsFor(size_t rows,
                                                         size_t cols) const {
   const auto key = std::make_pair(rows, cols);
   {
@@ -87,11 +88,16 @@ const std::vector<table::Matrix>& Sketcher::MatricesFor(size_t rows,
     if (it != cache_->entries.end()) return *it->second;
   }
   // Generate outside the lock; on a race the first insert wins.
-  auto generated = std::make_shared<const std::vector<table::Matrix>>(
-      StableRandomMatrices(params_, rows, cols));
+  auto generated = std::make_shared<DenseKernels>();
+  generated->matrices = StableRandomMatrices(params_, rows, cols);
   std::lock_guard<std::mutex> lock(cache_->mutex);
   auto it = cache_->entries.emplace(key, std::move(generated)).first;
   return *it->second;
+}
+
+const std::vector<table::Matrix>& Sketcher::MatricesFor(size_t rows,
+                                                        size_t cols) const {
+  return DenseKernelsFor(rows, cols).matrices;
 }
 
 const std::vector<SparseKernel>& Sketcher::SparseKernelsFor(
@@ -131,19 +137,21 @@ Sketch Sketcher::SketchOf(const table::TableView& view) const {
     }
     return out;
   }
-  const auto& matrices = MatricesFor(view.rows(), view.cols());
-  for (size_t i = 0; i < params_.k; ++i) {
-    const table::Matrix& random = matrices[i];
-    double acc = 0.0;
-    for (size_t r = 0; r < view.rows(); ++r) {
-      auto data_row = view.Row(r);
-      auto random_row = random.Row(r);
-      for (size_t c = 0; c < view.cols(); ++c) {
-        acc += data_row[c] * random_row[c];
+  const DenseKernels& dense = DenseKernelsFor(view.rows(), view.cols());
+  std::call_once(dense.position_major_once, [&] {
+    // Position-outer, so the copy is written sequentially.
+    const size_t positions = view.size();
+    dense.position_major.resize(positions * params_.k);
+    double* t = dense.position_major.data();
+    for (size_t p = 0; p < positions; ++p) {
+      for (size_t i = 0; i < params_.k; ++i) {
+        *t++ = dense.matrices[i].Values()[p];
       }
     }
-    out.values[i] = acc;
-  }
+  });
+  kernels::SketchDots(view.Row(0).data(), view.rows(), view.cols(),
+                      view.row_stride(), dense.position_major.data(),
+                      params_.k, out.values.data());
   return out;
 }
 

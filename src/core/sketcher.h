@@ -135,13 +135,24 @@ class Sketcher {
                                                     size_t cols) const;
 
  private:
+  // The k dense kernels of one window shape. `position_major` is the same
+  // entries laid out kernel-fastest, position_major[p * k + i] = R_i at
+  // row-major position p: the layout the dense SketchOf loop streams
+  // (DESIGN.md Section 17). It is filled on the shape's first dense
+  // SketchOf, so shapes only ever correlated by FFT (pool builds) never hold
+  // their kernels twice.
+  struct DenseKernels {
+    std::vector<table::Matrix> matrices;
+    mutable std::once_flag position_major_once;
+    mutable std::vector<double> position_major;
+  };
+
   // Shape-keyed cache of generated stable matrices, shared so that Sketcher
   // remains cheap to move while the cache (which can hold tens of MB for
   // large windows) is built once.
   struct MatrixCache {
     std::mutex mutex;
-    std::map<std::pair<size_t, size_t>,
-             std::shared_ptr<const std::vector<table::Matrix>>>
+    std::map<std::pair<size_t, size_t>, std::shared_ptr<const DenseKernels>>
         entries;
     std::map<std::pair<size_t, size_t>,
              std::shared_ptr<const std::vector<SparseKernel>>>
@@ -149,6 +160,8 @@ class Sketcher {
   };
 
   explicit Sketcher(const SketchParams& params);
+
+  const DenseKernels& DenseKernelsFor(size_t rows, size_t cols) const;
 
   SketchParams params_;
   std::shared_ptr<MatrixCache> cache_;

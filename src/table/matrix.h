@@ -102,6 +102,8 @@ class TableView {
   size_t cols() const { return cols_; }
   size_t size() const { return rows_ * cols_; }
   bool empty() const { return size() == 0; }
+  /// Distance in doubles between the starts of consecutive rows.
+  size_t row_stride() const { return row_stride_; }
 
   double At(size_t r, size_t c) const {
     TABSKETCH_DCHECK(r < rows_ && c < cols_)

@@ -1074,6 +1074,28 @@ TEST(CliTest, DistanceRejectsMismatchedRectangles) {
   std::remove(table_path.c_str());
 }
 
+TEST(CliTest, DistanceRejectsEmptyRectangle) {
+  // A zero-height or zero-width rectangle used to reach SketchOf's
+  // non-empty CHECK and abort; it is now an argument error.
+  const std::string table_path = TempPath("cli_test_empty_rect.tbl");
+  const std::string out_flag = "--out=" + table_path;
+  ASSERT_EQ(RunCli({"generate", "--dataset=six-region", out_flag.c_str(),
+                 "--rows=32", "--cols=32"})
+                .code,
+            0);
+  const std::string table_flag = "--table=" + table_path;
+  for (const auto& [rect1, rect2] :
+       {std::pair{"--rect1=0,0,0,4", "--rect2=4,4,0,4"},
+        std::pair{"--rect1=0,0,4,0", "--rect2=4,4,4,0"}}) {
+    const CliRun run = RunCli({"distance", table_flag.c_str(), rect1, rect2});
+    EXPECT_EQ(run.code, 1) << rect1;
+    EXPECT_NE(run.err.find("at least one row and one column"),
+              std::string::npos)
+        << rect1 << ": " << run.err;
+  }
+  std::remove(table_path.c_str());
+}
+
 TEST(CliTest, DistanceRejectsOutOfRangeP) {
   // --p outside (0, 2] used to reach LpDistance's precondition CHECK and
   // abort; the family is now validated first, so this is a clean error.
@@ -1510,6 +1532,68 @@ TEST(CliAuditTest, RateOneDumpReportsEnvelopeConsistentErrors) {
 
   std::remove(table_path.c_str());
   std::remove(json_path.c_str());
+}
+
+/// Runs `argv` once with each bad sketch size for `flag` appended and
+/// expects a clean argument error naming the flag. The size is read before
+/// any file is opened, so the paths in `argv` need not exist.
+void ExpectSketchSizeRejected(std::vector<const char*> argv,
+                              const std::string& flag) {
+  for (const std::string value : {"-1", "-3", "0"}) {
+    const std::string bad = "--" + flag + "=" + value;
+    std::vector<const char*> args = argv;
+    args.push_back(bad.c_str());
+    const CliRun run = RunCli(args);
+    EXPECT_EQ(run.code, 1) << argv[0] << " " << bad;
+    EXPECT_NE(run.err.find("--" + flag + " (the sketch size) must be at "
+                           "least 1, got " + value),
+              std::string::npos)
+        << argv[0] << " " << bad << ": " << run.err;
+  }
+}
+
+TEST(CliSketchSizeTest, SketchRejectsNonPositiveK) {
+  ExpectSketchSizeRejected({"sketch", "--table=/tmp/none.tbl",
+                            "--out=/tmp/none.skt", "--tile-rows=8",
+                            "--tile-cols=8"},
+                           "k");
+}
+
+TEST(CliSketchSizeTest, DistanceRejectsNonPositiveK) {
+  ExpectSketchSizeRejected({"distance", "--table=/tmp/none.tbl",
+                            "--rect1=0,0,4,4", "--rect2=4,4,4,4"},
+                           "k");
+}
+
+TEST(CliSketchSizeTest, ClusterRejectsNonPositiveSketchK) {
+  ExpectSketchSizeRejected({"cluster", "--table=/tmp/none.tbl",
+                            "--tile-rows=8", "--tile-cols=8", "--k=3"},
+                           "sketch-k");
+}
+
+TEST(CliSketchSizeTest, PoolBuildRejectsNonPositiveK) {
+  ExpectSketchSizeRejected(
+      {"pool-build", "--table=/tmp/none.tbl", "--out=/tmp/none.pool"}, "k");
+}
+
+TEST(CliSketchSizeTest, QueryRejectsNonPositiveK) {
+  ExpectSketchSizeRejected({"query", "--table=/tmp/none.tbl",
+                            "--tile-rows=8", "--tile-cols=8",
+                            "--batch=/tmp/none_batch.txt"},
+                           "k");
+}
+
+TEST(CliSketchSizeTest, ServeRejectsNonPositiveK) {
+  ExpectSketchSizeRejected({"serve", "--table=/tmp/none.tbl",
+                            "--tile-rows=8", "--tile-cols=8"},
+                           "k");
+}
+
+TEST(CliSketchSizeTest, IngestRejectsNonPositiveK) {
+  ExpectSketchSizeRejected({"ingest", "--pieces=/tmp/none.tbl",
+                            "--tile-rows=8", "--tile-cols=8",
+                            "--out=/tmp/none.skt"},
+                           "k");
 }
 
 }  // namespace

@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
+#include "core/code_kernels.h"
 #include "core/estimator.h"
 #include "core/lp_distance.h"
 #include "core/series_sketch.h"
@@ -166,24 +168,44 @@ TEST(SparseKernelTest, PathSelectionIsDeterministicInSizesOnly) {
 
 TEST(SparseSketcherTest, SketchOfMatchesDenseKernelWalk) {
   // A sparse family's single-tile sketch equals the row-major dot product
-  // against the densified kernels, bit for bit.
-  const core::SketchParams params{
-      .p = 0.5, .k = 5, .seed = 17, .sparsity = 0.4};
-  auto sketcher = core::Sketcher::Create(params);
-  ASSERT_TRUE(sketcher.ok());
-  const table::Matrix data = RandomTable(7, 9, 11);
-  const core::Sketch sketch = sketcher->SketchOf(data.View());
-  ASSERT_EQ(sketch.size(), params.k);
-  for (size_t i = 0; i < params.k; ++i) {
-    const table::Matrix dense =
-        core::SparseStableKernel(params, i, 7, 9).Dense();
-    double acc = 0.0;
-    for (size_t r = 0; r < 7; ++r) {
-      for (size_t c = 0; c < 9; ++c) {
-        acc += data.At(r, c) * dense.At(r, c);
+  // against the densified kernels, bit for bit, and so equals the dense
+  // position-major kernel (kernels::SketchDots) run over those kernels. k=33
+  // leaves a one-kernel partial chunk after the 32-wide one.
+  struct Case {
+    size_t k, rows, cols;
+  };
+  for (const Case& tc : {Case{5, 7, 9}, Case{33, 5, 11}}) {
+    const core::SketchParams params{
+        .p = 0.5, .k = tc.k, .seed = 17, .sparsity = 0.4};
+    auto sketcher = core::Sketcher::Create(params);
+    ASSERT_TRUE(sketcher.ok());
+    const table::Matrix data = RandomTable(tc.rows, tc.cols, 11);
+    const core::Sketch sketch = sketcher->SketchOf(data.View());
+    ASSERT_EQ(sketch.size(), params.k);
+    const size_t positions = tc.rows * tc.cols;
+    std::vector<double> position_major(positions * params.k);
+    for (size_t i = 0; i < params.k; ++i) {
+      const table::Matrix dense =
+          core::SparseStableKernel(params, i, tc.rows, tc.cols).Dense();
+      double acc = 0.0;
+      for (size_t r = 0; r < tc.rows; ++r) {
+        for (size_t c = 0; c < tc.cols; ++c) {
+          acc += data.At(r, c) * dense.At(r, c);
+        }
+      }
+      EXPECT_EQ(sketch.values[i], acc) << "k=" << tc.k << " component " << i;
+      for (size_t pos = 0; pos < positions; ++pos) {
+        position_major[pos * params.k + i] = dense.Values()[pos];
       }
     }
-    EXPECT_EQ(sketch.values[i], acc) << "component " << i;
+    std::vector<double> dense_path(params.k);
+    core::kernels::SketchDots(data.Values().data(), tc.rows, tc.cols,
+                              tc.cols, position_major.data(), params.k,
+                              dense_path.data());
+    EXPECT_EQ(std::memcmp(dense_path.data(), sketch.values.data(),
+                          params.k * sizeof(double)),
+              0)
+        << "k=" << tc.k;
   }
 }
 

@@ -13,7 +13,7 @@ cmake --build --preset tsan -j "$(nproc)"
 
 # The parallel surface; everything else is single-threaded and only slows
 # the (10-20x overhead) sanitizer run down.
-TSAN_TESTS='ParallelFor|ParallelSketch|DefaultThreadCount|SketchPool|CorrelationPlan|OnDemand|KMeans|SketchBackend|Metrics|MetricsSnapshot|MetricsTicker|TraceRecorder|Audit|LruSketchCache|QueryEngine|Serve|Admission|Snapshot|CodeKernels|CodePool|Quant|Streaming|StreamServe|BuildSuccessor|Sparse'
+TSAN_TESTS='ParallelFor|ParallelSketch|SketcherDots|DefaultThreadCount|SketchPool|CorrelationPlan|OnDemand|KMeans|SketchBackend|Metrics|MetricsSnapshot|MetricsTicker|TraceRecorder|Audit|LruSketchCache|QueryEngine|Serve|Admission|Snapshot|CodeKernels|CodePool|Quant|Streaming|StreamServe|BuildSuccessor|Sparse'
 
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure \
