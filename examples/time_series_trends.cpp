@@ -3,7 +3,9 @@
 // day's length in one station's multi-week series, find the *relaxation
 // period* — the window whose total distance to all other windows is
 // smallest, i.e. the most "typical" day — using O(k)-per-comparison
-// sketches, and cross-check against the exact computation.
+// sketches, and cross-check against the exact computation. The series is a
+// 1 x n table, so its window sketches are 1 x window sketches of the 2-D
+// family.
 //
 //   ./build/examples/time_series_trends
 
@@ -14,8 +16,9 @@
 
 #include "core/estimator.h"
 #include "core/lp_distance.h"
-#include "core/series_sketch.h"
+#include "core/sketcher.h"
 #include "data/call_volume.h"
+#include "table/matrix.h"
 #include "util/timer.h"
 
 int main() {
@@ -31,31 +34,35 @@ int main() {
     std::fprintf(stderr, "%s\n", volume.status().ToString().c_str());
     return 1;
   }
-  // One busy station's series.
-  std::vector<double> series(volume->Row(16).begin(), volume->Row(16).end());
+  // One busy station's series, as a 1 x n table.
+  const std::span<const double> station = volume->Row(16);
+  const table::Matrix row(1, station.size(),
+                          std::vector<double>(station.begin(), station.end()));
+  const std::span<const double> series = row.Row(0);
   const size_t window = 7 * options.bins_per_day;  // week-length windows
   const size_t stride = 72;                         // every 12 hours
 
   core::SketchParams params{.p = 1.0, .k = 128, .seed = 404};
-  auto sketcher = core::SeriesSketcher::Create(params);
+  auto sketcher = core::Sketcher::Create(params);
   auto estimator = core::DistanceEstimator::Create(params);
   if (!sketcher.ok() || !estimator.ok()) {
     std::fprintf(stderr, "setup failed\n");
     return 1;
   }
 
-  // All-positions sketches via 1-D FFT (Theorem 3 in one dimension).
+  // All-positions sketches via FFT (Theorem 3 over a one-row table).
   util::WallTimer prep_timer;
-  auto field_or = sketcher->SketchAllPositions(
-      series, window, core::SketchAlgorithm::kFft);
+  auto field_or = sketcher->SketchAllPositions(row, 1, window,
+                                               core::SketchAlgorithm::kFft);
   if (!field_or.ok()) {
     std::fprintf(stderr, "sketching failed: %s\n",
                  field_or.status().message().c_str());
     return 1;
   }
-  const core::SeriesSketchField& field = *field_or;
+  const core::SketchField& field = *field_or;
   std::printf("series length %zu, %zu window positions, sketched in %.2fs\n",
-              series.size(), field.positions(), prep_timer.ElapsedSeconds());
+              series.size(), field.position_cols(),
+              prep_timer.ElapsedSeconds());
 
   std::vector<size_t> anchors;
   for (size_t pos = 0; pos + window <= series.size(); pos += stride) {
@@ -68,11 +75,11 @@ int main() {
   double best_sketch_total = std::numeric_limits<double>::infinity();
   std::vector<double> scratch;
   for (size_t a : anchors) {
-    const core::Sketch sa = field.SketchAt(a);
+    const core::Sketch sa = field.SketchAt(0, a);
     double total = 0.0;
     for (size_t b : anchors) {
       if (a == b) continue;
-      const core::Sketch sb = field.SketchAt(b);
+      const core::Sketch sb = field.SketchAt(0, b);
       total += estimator->EstimateWithScratch(sa.values, sb.values, &scratch);
     }
     if (total < best_sketch_total) {
@@ -86,13 +93,12 @@ int main() {
   util::WallTimer exact_timer;
   size_t best_exact = 0;
   double best_exact_total = std::numeric_limits<double>::infinity();
-  auto span = std::span<const double>(series);
   for (size_t a : anchors) {
     double total = 0.0;
     for (size_t b : anchors) {
       if (a == b) continue;
-      total += core::LpDistance(span.subspan(a, window),
-                                span.subspan(b, window), params.p);
+      total += core::LpDistance(series.subspan(a, window),
+                                series.subspan(b, window), params.p);
     }
     if (total < best_exact_total) {
       best_exact_total = total;
@@ -107,8 +113,9 @@ int main() {
   double sketch_pick_exact_total = 0.0;
   for (size_t b : anchors) {
     if (b == best_sketch) continue;
-    sketch_pick_exact_total += core::LpDistance(
-        span.subspan(best_sketch, window), span.subspan(b, window), params.p);
+    sketch_pick_exact_total +=
+        core::LpDistance(series.subspan(best_sketch, window),
+                         series.subspan(b, window), params.p);
   }
 
   std::printf(

@@ -192,19 +192,28 @@ util::Status ValidateSparsityFlag(double sparsity) {
   return util::Status::OK();
 }
 
-/// Reads a sketch-size flag (--k, --sketch-k): at least 1, checked while
-/// still signed, before a negative value could wrap to a huge size_t.
+/// Reads a size-typed flag: at least `minimum`, checked while still signed,
+/// before a negative value could wrap to a huge size_t. `meaning` says what
+/// the flag counts, for the error message.
+util::Result<size_t> SizeFlag(const Flags& flags, const std::string& name,
+                              int64_t default_value, int64_t minimum,
+                              const char* meaning) {
+  TABSKETCH_ASSIGN_OR_RETURN(const int64_t value,
+                             flags.GetInt(name, default_value));
+  if (value < minimum) {
+    std::ostringstream msg;
+    msg << "--" << name << " (" << meaning << ") must be at least " << minimum
+        << ", got " << value;
+    return util::Status::InvalidArgument(msg.str());
+  }
+  return static_cast<size_t>(value);
+}
+
+/// --k / --sketch-k where they size the sketch.
 util::Result<size_t> SketchSizeFlag(const Flags& flags,
                                     const std::string& name,
                                     int64_t default_value) {
-  TABSKETCH_ASSIGN_OR_RETURN(const int64_t k,
-                             flags.GetInt(name, default_value));
-  if (k < 1) {
-    std::ostringstream msg;
-    msg << "--" << name << " (the sketch size) must be at least 1, got " << k;
-    return util::Status::InvalidArgument(msg.str());
-  }
-  return static_cast<size_t>(k);
+  return SizeFlag(flags, name, default_value, 1, "the sketch size");
 }
 
 int CmdGenerate(const Flags& flags, std::ostream& out, std::ostream& err) {
@@ -218,30 +227,31 @@ int CmdGenerate(const Flags& flags, std::ostream& out, std::ostream& err) {
   table::Matrix matrix;
   if (dataset == "call-volume") {
     data::CallVolumeOptions options;
-    TABSKETCH_ASSIGN_CLI(const int64_t rows, flags.GetInt("rows", 1024));
-    TABSKETCH_ASSIGN_CLI(const int64_t days, flags.GetInt("days", 1));
-    options.num_stations = static_cast<size_t>(rows);
-    options.num_days = static_cast<size_t>(days);
+    TABSKETCH_ASSIGN_CLI(
+        options.num_stations,
+        SizeFlag(flags, "rows", 1024, 1, "the station count"));
+    TABSKETCH_ASSIGN_CLI(options.num_days,
+                         SizeFlag(flags, "days", 1, 1, "the day count"));
     options.seed = static_cast<uint64_t>(seed);
     auto generated = data::GenerateCallVolume(options);
     if (!generated.ok()) return Fail(err, generated.status());
     matrix = std::move(generated).value();
   } else if (dataset == "six-region") {
     data::SixRegionOptions options;
-    TABSKETCH_ASSIGN_CLI(const int64_t rows, flags.GetInt("rows", 256));
-    TABSKETCH_ASSIGN_CLI(const int64_t cols, flags.GetInt("cols", 512));
-    options.rows = static_cast<size_t>(rows);
-    options.cols = static_cast<size_t>(cols);
+    TABSKETCH_ASSIGN_CLI(options.rows,
+                         SizeFlag(flags, "rows", 256, 1, "the row count"));
+    TABSKETCH_ASSIGN_CLI(options.cols,
+                         SizeFlag(flags, "cols", 512, 1, "the column count"));
     options.seed = static_cast<uint64_t>(seed);
     auto generated = data::GenerateSixRegion(options);
     if (!generated.ok()) return Fail(err, generated.status());
     matrix = std::move(generated->table);
   } else if (dataset == "ip-traffic") {
     data::IpTrafficOptions options;
-    TABSKETCH_ASSIGN_CLI(const int64_t rows, flags.GetInt("rows", 1024));
-    TABSKETCH_ASSIGN_CLI(const int64_t cols, flags.GetInt("cols", 288));
-    options.num_hosts = static_cast<size_t>(rows);
-    options.num_bins = static_cast<size_t>(cols);
+    TABSKETCH_ASSIGN_CLI(options.num_hosts,
+                         SizeFlag(flags, "rows", 1024, 1, "the host count"));
+    TABSKETCH_ASSIGN_CLI(options.num_bins,
+                         SizeFlag(flags, "cols", 288, 1, "the bin count"));
     options.seed = static_cast<uint64_t>(seed);
     auto generated = data::GenerateIpTraffic(options);
     if (!generated.ok()) return Fail(err, generated.status());
@@ -264,6 +274,12 @@ int CmdInfo(const Flags& flags, std::ostream& out, std::ostream& err) {
   TABSKETCH_ASSIGN_CLI(const std::string path, flags.GetRequired("table"));
   auto matrix = table::ReadBinary(path);
   if (!matrix.ok()) return Fail(err, matrix.status());
+  out << path << ": " << matrix->rows() << "x" << matrix->cols() << " ("
+      << matrix->size() * sizeof(double) << " bytes)\n";
+  if (matrix->size() == 0) {
+    out << "  empty\n";
+    return 0;
+  }
   double minimum = matrix->Values().front();
   double maximum = minimum;
   double total = 0.0;
@@ -272,9 +288,7 @@ int CmdInfo(const Flags& flags, std::ostream& out, std::ostream& err) {
     maximum = std::max(maximum, value);
     total += value;
   }
-  out << path << ": " << matrix->rows() << "x" << matrix->cols() << " ("
-      << matrix->size() * sizeof(double) << " bytes)\n"
-      << "  min " << minimum << ", max " << maximum << ", mean "
+  out << "  min " << minimum << ", max " << maximum << ", mean "
       << total / static_cast<double>(matrix->size()) << "\n";
   return 0;
 }
@@ -287,10 +301,10 @@ int CmdSketch(const Flags& flags, std::ostream& out, std::ostream& err) {
   TABSKETCH_ASSIGN_CLI(const std::string table_path,
                        flags.GetRequired("table"));
   TABSKETCH_ASSIGN_CLI(const std::string out_path, flags.GetRequired("out"));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_rows,
-                       flags.GetInt("tile-rows", 0));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_cols,
-                       flags.GetInt("tile-cols", 0));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_rows,
+                       SizeFlag(flags, "tile-rows", 0, 0, "the tile height"));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_cols,
+                       SizeFlag(flags, "tile-cols", 0, 0, "the tile width"));
   TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
   TABSKETCH_ASSIGN_CLI(const size_t k, SketchSizeFlag(flags, "k", 256));
   TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
@@ -304,9 +318,7 @@ int CmdSketch(const Flags& flags, std::ostream& out, std::ostream& err) {
 
   auto matrix = table::ReadBinary(table_path);
   if (!matrix.ok()) return Fail(err, matrix.status());
-  auto grid = table::TileGrid::Create(&*matrix,
-                                      static_cast<size_t>(tile_rows),
-                                      static_cast<size_t>(tile_cols));
+  auto grid = table::TileGrid::Create(&*matrix, tile_rows, tile_cols);
   if (!grid.ok()) return Fail(err, grid.status());
 
   core::SketchParams params{.p = p, .k = k,
@@ -406,13 +418,14 @@ int CmdCluster(const Flags& flags, std::ostream& out, std::ostream& err) {
        "audit-rate"}));
   TABSKETCH_ASSIGN_CLI(const std::string table_path,
                        flags.GetRequired("table"));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_rows,
-                       flags.GetInt("tile-rows", 0));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_cols,
-                       flags.GetInt("tile-cols", 0));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_rows,
+                       SizeFlag(flags, "tile-rows", 0, 0, "the tile height"));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_cols,
+                       SizeFlag(flags, "tile-cols", 0, 0, "the tile width"));
   TABSKETCH_ASSIGN_CLI(const std::string algo,
                        flags.GetString("algo", "kmeans"));
-  TABSKETCH_ASSIGN_CLI(const int64_t num_clusters, flags.GetInt("k", 8));
+  TABSKETCH_ASSIGN_CLI(const size_t num_clusters,
+                       SizeFlag(flags, "k", 8, 1, "the cluster count"));
   TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
   TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
   TABSKETCH_ASSIGN_CLI(const std::string mode,
@@ -422,15 +435,17 @@ int CmdCluster(const Flags& flags, std::ostream& out, std::ostream& err) {
   TABSKETCH_ASSIGN_CLI(const double sparsity,
                        flags.GetDouble("sparsity", 1.0));
   TABSKETCH_RETURN_CLI(ValidateSparsityFlag(sparsity));
-  TABSKETCH_ASSIGN_CLI(const int64_t cache_bytes,
-                       flags.GetInt("cache-bytes", 0));
+  TABSKETCH_ASSIGN_CLI(
+      const size_t cache_bytes,
+      SizeFlag(flags, "cache-bytes", 0, 0, "the sketch-cache budget, 0 = keep all"));
   TABSKETCH_ASSIGN_CLI(const std::string quant_text,
                        flags.GetString("quant", "off"));
   TABSKETCH_ASSIGN_CLI(const core::QuantKind quant,
                        core::ParseQuantKind(quant_text));
   TABSKETCH_ASSIGN_CLI(const double epsilon, flags.GetDouble("epsilon", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t min_points,
-                       flags.GetInt("min-points", 4));
+  TABSKETCH_ASSIGN_CLI(
+      const size_t min_points,
+      SizeFlag(flags, "min-points", 4, 1, "the DBSCAN core threshold"));
   TABSKETCH_ASSIGN_CLI(
       const int64_t threads_flag,
       flags.GetInt("threads",
@@ -455,9 +470,7 @@ int CmdCluster(const Flags& flags, std::ostream& out, std::ostream& err) {
 
   auto matrix = table::ReadBinary(table_path);
   if (!matrix.ok()) return Fail(err, matrix.status());
-  auto grid = table::TileGrid::Create(&*matrix,
-                                      static_cast<size_t>(tile_rows),
-                                      static_cast<size_t>(tile_cols));
+  auto grid = table::TileGrid::Create(&*matrix, tile_rows, tile_cols);
   if (!grid.ok()) return Fail(err, grid.status());
 
   // Backend per --mode.
@@ -468,10 +481,6 @@ int CmdCluster(const Flags& flags, std::ostream& out, std::ostream& err) {
     backend = std::make_unique<cluster::ExactBackend>(
         std::move(exact).value());
   } else if (mode == "precomputed" || mode == "ondemand") {
-    if (cache_bytes < 0) {
-      return Fail(err, util::Status::InvalidArgument(
-                           "--cache-bytes must be >= 0"));
-    }
     auto sketch = cluster::SketchBackend::Create(
         &*grid,
         {.p = p, .k = sketch_k,
@@ -479,7 +488,7 @@ int CmdCluster(const Flags& flags, std::ostream& out, std::ostream& err) {
         mode == "precomputed" ? cluster::SketchMode::kPrecomputed
                               : cluster::SketchMode::kOnDemand,
         core::EstimatorKind::kAuto, threads,
-        static_cast<size_t>(cache_bytes), quant);
+        cache_bytes, quant);
     if (!sketch.ok()) return Fail(err, sketch.status());
     backend = std::make_unique<cluster::SketchBackend>(
         std::move(sketch).value());
@@ -492,7 +501,7 @@ int CmdCluster(const Flags& flags, std::ostream& out, std::ostream& err) {
   std::vector<int> assignment;
   if (algo == "kmeans") {
     auto result = cluster::RunKMeans(
-        backend.get(), {.k = static_cast<size_t>(num_clusters),
+        backend.get(), {.k = num_clusters,
                         .max_iterations = 50,
                         .seed = static_cast<uint64_t>(seed),
                         .threads = threads});
@@ -504,7 +513,7 @@ int CmdCluster(const Flags& flags, std::ostream& out, std::ostream& err) {
     assignment = std::move(result->assignment);
   } else if (algo == "kmedoids") {
     auto result = cluster::RunKMedoids(
-        backend.get(), {.k = static_cast<size_t>(num_clusters),
+        backend.get(), {.k = num_clusters,
                         .max_iterations = 30,
                         .seed = static_cast<uint64_t>(seed)});
     if (!result.ok()) return Fail(err, result.status());
@@ -516,7 +525,7 @@ int CmdCluster(const Flags& flags, std::ostream& out, std::ostream& err) {
   } else if (algo == "dbscan") {
     auto result = cluster::RunDbscan(
         backend.get(), {.epsilon = epsilon,
-                        .min_points = static_cast<size_t>(min_points)});
+                        .min_points = min_points});
     if (!result.ok()) return Fail(err, result.status());
     out << "dbscan: " << result->num_clusters << " clusters, "
         << result->num_noise << " noise tiles, " << result->seconds
@@ -580,8 +589,12 @@ int CmdPoolBuild(const Flags& flags, std::ostream& out, std::ostream& err) {
   TABSKETCH_ASSIGN_CLI(const double sparsity,
                        flags.GetDouble("sparsity", 1.0));
   TABSKETCH_RETURN_CLI(ValidateSparsityFlag(sparsity));
-  TABSKETCH_ASSIGN_CLI(const int64_t min_log2, flags.GetInt("min-log2", 3));
-  TABSKETCH_ASSIGN_CLI(const int64_t max_log2, flags.GetInt("max-log2", 63));
+  TABSKETCH_ASSIGN_CLI(
+      const size_t min_log2,
+      SizeFlag(flags, "min-log2", 3, 0, "the smallest canonical log2 size"));
+  TABSKETCH_ASSIGN_CLI(
+      const size_t max_log2,
+      SizeFlag(flags, "max-log2", 63, 0, "the largest canonical log2 size"));
   TABSKETCH_ASSIGN_CLI(
       const int64_t threads,
       flags.GetInt("threads",
@@ -590,10 +603,10 @@ int CmdPoolBuild(const Flags& flags, std::ostream& out, std::ostream& err) {
   auto matrix = table::ReadBinary(table_path);
   if (!matrix.ok()) return Fail(err, matrix.status());
   core::PoolOptions options;
-  options.log2_min_rows = static_cast<size_t>(min_log2);
-  options.log2_min_cols = static_cast<size_t>(min_log2);
-  options.log2_max_rows = static_cast<size_t>(max_log2);
-  options.log2_max_cols = static_cast<size_t>(max_log2);
+  options.log2_min_rows = min_log2;
+  options.log2_min_cols = min_log2;
+  options.log2_max_rows = max_log2;
+  options.log2_max_cols = max_log2;
   options.threads = ThreadsFromFlag(threads);
   util::WallTimer timer;
   auto pool = core::SketchPool::Build(
@@ -662,10 +675,10 @@ int CmdQuery(const Flags& flags, std::ostream& out, std::ostream& err) {
        "audit-rate"}));
   TABSKETCH_ASSIGN_CLI(const std::string table_path,
                        flags.GetRequired("table"));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_rows,
-                       flags.GetInt("tile-rows", 0));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_cols,
-                       flags.GetInt("tile-cols", 0));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_rows,
+                       SizeFlag(flags, "tile-rows", 0, 0, "the tile height"));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_cols,
+                       SizeFlag(flags, "tile-cols", 0, 0, "the tile width"));
   TABSKETCH_ASSIGN_CLI(const std::string batch_path,
                        flags.GetRequired("batch"));
   TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
@@ -676,25 +689,23 @@ int CmdQuery(const Flags& flags, std::ostream& out, std::ostream& err) {
   TABSKETCH_RETURN_CLI(ValidateSparsityFlag(sparsity));
   TABSKETCH_ASSIGN_CLI(const std::string sketches_path,
                        flags.GetString("sketches", ""));
-  TABSKETCH_ASSIGN_CLI(const int64_t cache_bytes,
-                       flags.GetInt("cache-bytes", 0));
+  TABSKETCH_ASSIGN_CLI(
+      const size_t cache_bytes,
+      SizeFlag(flags, "cache-bytes", 0, 0, "the sketch-cache budget, 0 = keep all"));
   TABSKETCH_ASSIGN_CLI(
       const int64_t threads_flag,
       flags.GetInt("threads",
                    static_cast<int64_t>(util::DefaultThreadCount())));
   TABSKETCH_ASSIGN_CLI(const bool refine, flags.GetBool("refine", false));
-  TABSKETCH_ASSIGN_CLI(const int64_t candidates,
-                       flags.GetInt("candidates", 0));
+  TABSKETCH_ASSIGN_CLI(
+      const size_t candidates,
+      SizeFlag(flags, "candidates", 0, 0, "the refine set, 0 = auto"));
   TABSKETCH_ASSIGN_CLI(const std::string quant_text,
                        flags.GetString("quant", "off"));
   TABSKETCH_ASSIGN_CLI(const core::QuantKind quant,
                        core::ParseQuantKind(quant_text));
   TABSKETCH_ASSIGN_CLI(const std::string out_path,
                        flags.GetString("out", ""));
-  if (cache_bytes < 0 || candidates < 0) {
-    return Fail(err, util::Status::InvalidArgument(
-                         "--cache-bytes and --candidates must be >= 0"));
-  }
 
   if (!sketches_path.empty() &&
       (flags.Has("p") || flags.Has("k") || flags.Has("seed") ||
@@ -714,16 +725,16 @@ int CmdQuery(const Flags& flags, std::ostream& out, std::ostream& err) {
   // yield byte-identical answers (sketches are deterministic).
   serve::SnapshotSpec spec;
   spec.table_path = table_path;
-  spec.tile_rows = static_cast<size_t>(tile_rows);
-  spec.tile_cols = static_cast<size_t>(tile_cols);
+  spec.tile_rows = tile_rows;
+  spec.tile_cols = tile_cols;
   spec.sketches_path = sketches_path;
   spec.params = core::SketchParams{.p = p, .k = k,
                                    .seed = static_cast<uint64_t>(seed),
                                    .sparsity = sparsity};
-  spec.cache_bytes = static_cast<size_t>(cache_bytes);
+  spec.cache_bytes = cache_bytes;
   spec.engine.threads = ThreadsFromFlag(threads_flag);
   spec.engine.refine = refine;
-  spec.engine.candidates = static_cast<size_t>(candidates);
+  spec.engine.candidates = candidates;
   spec.engine.quant = quant;
   TABSKETCH_ASSIGN_CLI(const std::shared_ptr<const serve::Snapshot> snapshot,
                        serve::Snapshot::Create(spec));
@@ -813,10 +824,10 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
        "metrics-json", "trace-json", "audit-rate"}));
   TABSKETCH_ASSIGN_CLI(const std::string table_path,
                        flags.GetString("table", ""));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_rows,
-                       flags.GetInt("tile-rows", 0));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_cols,
-                       flags.GetInt("tile-cols", 0));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_rows,
+                       SizeFlag(flags, "tile-rows", 0, 0, "the tile height"));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_cols,
+                       SizeFlag(flags, "tile-cols", 0, 0, "the tile width"));
   TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
   TABSKETCH_ASSIGN_CLI(const size_t k, SketchSizeFlag(flags, "k", 256));
   TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
@@ -825,15 +836,17 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   TABSKETCH_RETURN_CLI(ValidateSparsityFlag(sparsity));
   TABSKETCH_ASSIGN_CLI(const std::string sketches_path,
                        flags.GetString("sketches", ""));
-  TABSKETCH_ASSIGN_CLI(const int64_t cache_bytes,
-                       flags.GetInt("cache-bytes", 0));
+  TABSKETCH_ASSIGN_CLI(
+      const size_t cache_bytes,
+      SizeFlag(flags, "cache-bytes", 0, 0, "the sketch-cache budget, 0 = keep all"));
   TABSKETCH_ASSIGN_CLI(
       const int64_t threads_flag,
       flags.GetInt("threads",
                    static_cast<int64_t>(util::DefaultThreadCount())));
   TABSKETCH_ASSIGN_CLI(const bool refine, flags.GetBool("refine", false));
-  TABSKETCH_ASSIGN_CLI(const int64_t candidates,
-                       flags.GetInt("candidates", 0));
+  TABSKETCH_ASSIGN_CLI(
+      const size_t candidates,
+      SizeFlag(flags, "candidates", 0, 0, "the refine set, 0 = auto"));
   TABSKETCH_ASSIGN_CLI(const std::string quant_text,
                        flags.GetString("quant", "off"));
   TABSKETCH_ASSIGN_CLI(const core::QuantKind quant,
@@ -858,10 +871,6 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
                        flags.GetInt("stats-ring", 8));
   TABSKETCH_ASSIGN_CLI(const std::string metrics_json_path,
                        flags.GetString("metrics-json", ""));
-  if (cache_bytes < 0 || candidates < 0) {
-    return Fail(err, util::Status::InvalidArgument(
-                         "--cache-bytes and --candidates must be >= 0"));
-  }
   if (port < 0 || port > 65535) {
     return Fail(err, util::Status::InvalidArgument(
                          "--port must be in [0, 65535]"));
@@ -920,16 +929,16 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
 
   serve::SnapshotSpec spec;
   spec.table_path = table_path;
-  spec.tile_rows = static_cast<size_t>(tile_rows);
-  spec.tile_cols = static_cast<size_t>(tile_cols);
+  spec.tile_rows = tile_rows;
+  spec.tile_cols = tile_cols;
   spec.sketches_path = sketches_path;
   spec.params = core::SketchParams{.p = p, .k = k,
                                    .seed = static_cast<uint64_t>(seed),
                                    .sparsity = sparsity};
-  spec.cache_bytes = static_cast<size_t>(cache_bytes);
+  spec.cache_bytes = cache_bytes;
   spec.engine.threads = ThreadsFromFlag(threads_flag);
   spec.engine.refine = refine;
-  spec.engine.candidates = static_cast<size_t>(candidates);
+  spec.engine.candidates = candidates;
   spec.engine.quant = quant;
   // With --ingest the StreamingIngest builds the first generation (and all
   // successors); `reload` is disabled — it would publish a snapshot the
@@ -1029,10 +1038,10 @@ int CmdIngest(const Flags& flags, std::ostream& out, std::ostream& err) {
        "trace-json", "audit-rate"}));
   TABSKETCH_ASSIGN_CLI(const std::string pieces_text,
                        flags.GetRequired("pieces"));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_rows,
-                       flags.GetInt("tile-rows", 0));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_cols,
-                       flags.GetInt("tile-cols", 0));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_rows,
+                       SizeFlag(flags, "tile-rows", 0, 0, "the tile height"));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_cols,
+                       SizeFlag(flags, "tile-cols", 0, 0, "the tile width"));
   TABSKETCH_ASSIGN_CLI(const std::string out_path, flags.GetRequired("out"));
   TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
   TABSKETCH_ASSIGN_CLI(const size_t k, SketchSizeFlag(flags, "k", 256));
@@ -1044,17 +1053,15 @@ int CmdIngest(const Flags& flags, std::ostream& out, std::ostream& err) {
       const int64_t threads_flag,
       flags.GetInt("threads",
                    static_cast<int64_t>(util::DefaultThreadCount())));
-  TABSKETCH_ASSIGN_CLI(const int64_t window, flags.GetInt("window", 0));
+  TABSKETCH_ASSIGN_CLI(
+      const size_t window,
+      SizeFlag(flags, "window", 0, 0, "tile columns kept, 0 = unbounded"));
   TABSKETCH_ASSIGN_CLI(const std::string table_out,
                        flags.GetString("table-out", ""));
   const std::vector<std::string> pieces = SplitCommaList(pieces_text);
   if (pieces.empty()) {
     return Fail(err, util::Status::InvalidArgument(
                          "--pieces needs at least one file"));
-  }
-  if (window < 0) {
-    return Fail(err, util::Status::InvalidArgument(
-                         "--window must be >= 0 (0 = unbounded)"));
   }
   const size_t threads = ThreadsFromFlag(threads_flag);
 
@@ -1072,13 +1079,12 @@ int CmdIngest(const Flags& flags, std::ostream& out, std::ostream& err) {
                      core::SketchParams{.p = p, .k = k,
                                         .seed = static_cast<uint64_t>(seed),
                                         .sparsity = sparsity},
-                     piece->rows(), static_cast<size_t>(tile_rows),
-                     static_cast<size_t>(tile_cols)));
+                     piece->rows(), tile_rows,
+                     tile_cols));
     }
     TABSKETCH_RETURN_CLI(store->AppendColumns(*piece, threads));
-    if (window > 0 && store->grid_cols() > static_cast<size_t>(window)) {
-      TABSKETCH_RETURN_CLI(store->RetireColumns(
-          store->grid_cols() - static_cast<size_t>(window)));
+    if (window > 0 && store->grid_cols() > window) {
+      TABSKETCH_RETURN_CLI(store->RetireColumns(store->grid_cols() - window));
     }
   }
   const double seconds = timer.ElapsedSeconds();

@@ -33,7 +33,7 @@ std::vector<size_t> RangeQuery(ClusteringBackend* backend, size_t center,
 util::Result<DbscanResult> RunDbscan(ClusteringBackend* backend,
                                      const DbscanOptions& options) {
   TABSKETCH_CHECK(backend != nullptr);
-  if (options.epsilon <= 0.0) {
+  if (!(options.epsilon > 0.0)) {  // also rejects NaN
     return util::Status::InvalidArgument("epsilon must be positive");
   }
   if (options.min_points == 0) {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/sketch_params.h"
@@ -56,11 +55,6 @@ std::vector<SparseKernel> SparseStableKernels(const SketchParams& params,
 /// fft::CrossCorrelateNaive(data, kernel.Dense()) for finite data.
 table::Matrix CrossCorrelateSparse(const table::Matrix& data,
                                    const SparseKernel& kernel);
-
-/// 1-D variant for series sketching; `kernel` must have rows == 1 and fit
-/// inside the series.
-std::vector<double> CrossCorrelateSparse1D(std::span<const double> series,
-                                           const SparseKernel& kernel);
 
 /// Deterministic dense-FFT vs sparse-direct choice for one kernel of an
 /// all-positions sketch (DESIGN.md Section 16): direct time-domain work is

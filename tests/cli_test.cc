@@ -20,6 +20,8 @@
 #include "cli/commands.h"
 #include "cli/flags.h"
 #include "json_checker.h"
+#include "table/matrix.h"
+#include "table/table_io.h"
 #include "util/metrics.h"
 
 namespace tabsketch::cli {
@@ -1537,19 +1539,38 @@ TEST(CliAuditTest, RateOneDumpReportsEnvelopeConsistentErrors) {
 /// Runs `argv` once with each bad sketch size for `flag` appended and
 /// expects a clean argument error naming the flag. The size is read before
 /// any file is opened, so the paths in `argv` need not exist.
-void ExpectSketchSizeRejected(std::vector<const char*> argv,
-                              const std::string& flag) {
-  for (const std::string value : {"-1", "-3", "0"}) {
+/// Appends --flag=value for each value and expects exit 1 with an
+/// InvalidArgument that names the flag, what it counts and its minimum.
+void ExpectSizeFlagRejected(const std::vector<const char*>& argv,
+                            const std::string& flag,
+                            const std::string& meaning, int64_t minimum,
+                            const std::vector<std::string>& values) {
+  for (const std::string& value : values) {
     const std::string bad = "--" + flag + "=" + value;
     std::vector<const char*> args = argv;
     args.push_back(bad.c_str());
     const CliRun run = RunCli(args);
     EXPECT_EQ(run.code, 1) << argv[0] << " " << bad;
-    EXPECT_NE(run.err.find("--" + flag + " (the sketch size) must be at "
-                           "least 1, got " + value),
+    EXPECT_NE(run.err.find("InvalidArgument: --" + flag + " (" + meaning +
+                           ") must be at least " + std::to_string(minimum) +
+                           ", got " + value),
               std::string::npos)
         << argv[0] << " " << bad << ": " << run.err;
   }
+}
+
+void ExpectSketchSizeRejected(std::vector<const char*> argv,
+                              const std::string& flag) {
+  ExpectSizeFlagRejected(argv, flag, "the sketch size", 1, {"-1", "-3", "0"});
+}
+
+/// Every value below `minimum`, down to negatives that would wrap to a huge
+/// size_t if cast unchecked.
+void ExpectBelowMinimumRejected(const std::vector<const char*>& argv,
+                                const std::string& flag,
+                                const std::string& meaning, int64_t minimum) {
+  ExpectSizeFlagRejected(argv, flag, meaning, minimum,
+                         {std::to_string(minimum - 1), "-2", "-8"});
 }
 
 TEST(CliSketchSizeTest, SketchRejectsNonPositiveK) {
@@ -1594,6 +1615,99 @@ TEST(CliSketchSizeTest, IngestRejectsNonPositiveK) {
                             "--tile-rows=8", "--tile-cols=8",
                             "--out=/tmp/none.skt"},
                            "k");
+}
+
+TEST(CliSizeFlagTest, GenerateRejectsNegativeSizes) {
+  ExpectBelowMinimumRejected({"generate", "--dataset=six-region",
+                              "--out=/tmp/none.tbl"},
+                             "rows", "the row count", 1);
+  ExpectBelowMinimumRejected({"generate", "--dataset=six-region",
+                              "--out=/tmp/none.tbl"},
+                             "cols", "the column count", 1);
+  ExpectBelowMinimumRejected({"generate", "--dataset=call-volume",
+                              "--out=/tmp/none.tbl"},
+                             "rows", "the station count", 1);
+  ExpectBelowMinimumRejected({"generate", "--dataset=call-volume",
+                              "--out=/tmp/none.tbl"},
+                             "days", "the day count", 1);
+  ExpectBelowMinimumRejected({"generate", "--dataset=ip-traffic",
+                              "--out=/tmp/none.tbl"},
+                             "rows", "the host count", 1);
+  ExpectBelowMinimumRejected({"generate", "--dataset=ip-traffic",
+                              "--out=/tmp/none.tbl"},
+                             "cols", "the bin count", 1);
+}
+
+TEST(CliSizeFlagTest, TileSizesRejectNegatives) {
+  // 0 leaves the tile shape to the grid (or the sketch file), which reports
+  // it; a negative must fail before it wraps to a huge size_t.
+  ExpectBelowMinimumRejected({"sketch", "--table=/tmp/none.tbl",
+                              "--out=/tmp/none.skt", "--tile-cols=8"},
+                             "tile-rows", "the tile height", 0);
+  ExpectBelowMinimumRejected({"ingest", "--pieces=/tmp/none.tbl",
+                              "--tile-rows=8", "--out=/tmp/none.skt"},
+                             "tile-cols", "the tile width", 0);
+  ExpectBelowMinimumRejected({"cluster", "--table=/tmp/none.tbl",
+                              "--tile-rows=8"},
+                             "tile-cols", "the tile width", 0);
+  ExpectBelowMinimumRejected({"query", "--table=/tmp/none.tbl",
+                              "--tile-cols=8", "--batch=/tmp/none.txt"},
+                             "tile-rows", "the tile height", 0);
+  ExpectBelowMinimumRejected({"serve", "--table=/tmp/none.tbl",
+                              "--tile-rows=8"},
+                             "tile-cols", "the tile width", 0);
+}
+
+TEST(CliSizeFlagTest, ClusterRejectsBadCounts) {
+  const std::vector<const char*> cluster = {
+      "cluster", "--table=/tmp/none.tbl", "--tile-rows=8", "--tile-cols=8"};
+  ExpectBelowMinimumRejected(cluster, "k", "the cluster count", 1);
+  std::vector<const char*> dbscan = cluster;
+  dbscan.push_back("--algo=dbscan");
+  ExpectBelowMinimumRejected(dbscan, "min-points",
+                             "the DBSCAN core threshold", 1);
+  ExpectBelowMinimumRejected(cluster, "cache-bytes",
+                             "the sketch-cache budget, 0 = keep all", 0);
+}
+
+TEST(CliSizeFlagTest, PoolBuildRejectsNegativeLog2) {
+  const std::vector<const char*> pool_build = {
+      "pool-build", "--table=/tmp/none.tbl", "--out=/tmp/none.pool"};
+  ExpectBelowMinimumRejected(pool_build, "min-log2",
+                             "the smallest canonical log2 size", 0);
+  ExpectBelowMinimumRejected(pool_build, "max-log2",
+                             "the largest canonical log2 size", 0);
+}
+
+TEST(CliSizeFlagTest, ServingRejectsNegativeBudgets) {
+  const std::vector<const char*> query = {
+      "query", "--table=/tmp/none.tbl", "--tile-rows=8", "--tile-cols=8",
+      "--batch=/tmp/none.txt"};
+  const std::vector<const char*> serve = {
+      "serve", "--table=/tmp/none.tbl", "--tile-rows=8", "--tile-cols=8"};
+  for (const auto& argv : {query, serve}) {
+    ExpectBelowMinimumRejected(argv, "cache-bytes",
+                               "the sketch-cache budget, 0 = keep all", 0);
+    ExpectBelowMinimumRejected(argv, "candidates",
+                               "the refine set, 0 = auto", 0);
+  }
+  ExpectBelowMinimumRejected({"ingest", "--pieces=/tmp/none.tbl",
+                              "--tile-rows=8", "--tile-cols=8",
+                              "--out=/tmp/none.skt"},
+                             "window", "tile columns kept, 0 = unbounded", 0);
+}
+
+TEST(CliTest, InfoOnEmptyTablePrintsShape) {
+  // A 0-row table is a valid TSKT file: info reports its shape and has no
+  // values to summarize.
+  const std::string path = TempPath("tabsketch_cli_empty.tbl");
+  ASSERT_TRUE(table::WriteBinary(table::Matrix(0, 5), path).ok());
+  const CliRun run = RunCli({"info", ("--table=" + path).c_str()});
+  EXPECT_EQ(run.code, 0) << run.err;
+  EXPECT_NE(run.out.find(": 0x5 (0 bytes)"), std::string::npos) << run.out;
+  EXPECT_NE(run.out.find("empty"), std::string::npos) << run.out;
+  EXPECT_EQ(run.out.find("min "), std::string::npos) << run.out;
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "cluster/dbscan.h"
@@ -27,6 +28,11 @@ TEST(DbscanTest, ValidatesOptions) {
   ASSERT_TRUE(backend.ok());
   EXPECT_FALSE(RunDbscan(&*backend, {.epsilon = 0.0, .min_points = 2}).ok());
   EXPECT_FALSE(RunDbscan(&*backend, {.epsilon = 1.0, .min_points = 0}).ok());
+  // NaN passes a `<= 0` test, so it needs its own rejection.
+  const auto nan_epsilon =
+      RunDbscan(&*backend, {.epsilon = std::nan(""), .min_points = 2});
+  ASSERT_FALSE(nan_epsilon.ok());
+  EXPECT_EQ(nan_epsilon.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(DbscanTest, TwoDenseGroupsAndNoise) {

@@ -247,6 +247,21 @@ TEST(CrossCorrelateNaiveTest, HandComputedExample) {
   EXPECT_DOUBLE_EQ(out(1, 1), 5 + 60);
 }
 
+TEST(Correlate1DTest, HandComputed) {
+  // A time series is a 1 x n table: series correlation is the 2-D engine on
+  // one row.
+  const table::Matrix series(1, 4, {1, 2, 3, 4});
+  const table::Matrix kernel(1, 2, {1, 10});
+  EXPECT_TRUE(CrossCorrelateNaive(series, kernel) ==
+              table::Matrix(1, 3, {21, 32, 43}));
+  const table::Matrix fast = CorrelationPlan(series).Correlate(kernel);
+  ASSERT_EQ(fast.rows(), 1u);
+  ASSERT_EQ(fast.cols(), 3u);
+  EXPECT_NEAR(fast(0, 0), 21, 1e-9);
+  EXPECT_NEAR(fast(0, 1), 32, 1e-9);
+  EXPECT_NEAR(fast(0, 2), 43, 1e-9);
+}
+
 TEST(CrossCorrelateNaiveTest, KernelSameSizeAsDataGivesDotProduct) {
   table::Matrix data(2, 2, {1, 2, 3, 4});
   table::Matrix kernel(2, 2, {5, 6, 7, 8});
@@ -289,7 +304,10 @@ INSTANTIATE_TEST_SUITE_P(
                       XCorrCase{33, 65, 8, 16},    // odd data dims
                       XCorrCase{64, 64, 1, 1},     // trivial kernel
                       XCorrCase{5, 31, 5, 4},      // full-height kernel
-                      XCorrCase{128, 32, 32, 32}));
+                      XCorrCase{128, 32, 32, 32},
+                      // 1-row tables: time series of the 2-D family
+                      XCorrCase{1, 160, 1, 12}, XCorrCase{1, 33, 1, 33},
+                      XCorrCase{1, 1, 1, 1}));
 
 TEST(CorrelationPlanTest, PlanReusedAcrossKernels) {
   const table::Matrix data = RandomMatrix(24, 24, 42);
@@ -377,6 +395,17 @@ TEST(CorrelatePairTest, FullSizeAndTrivialKernelPair) {
   const auto [fast_a, fast_b] = plan.CorrelatePair(kernel_a, kernel_b);
   ExpectMatchesNaive(data, kernel_a, fast_a, 1e-8, "full-size kernel");
   ExpectMatchesNaive(data, kernel_b, fast_b, 1e-9, "1x1 kernel");
+}
+
+TEST(CorrelatePairTest, SingleRowPairMatchesNaive) {
+  // A time series is a 1 x n table: the packed pair grid has one row.
+  const table::Matrix data = RandomMatrix(1, 160, 351);
+  const table::Matrix kernel_a = RandomMatrix(1, 12, 352);
+  const table::Matrix kernel_b = RandomMatrix(1, 5, 353);
+  CorrelationPlan plan(data);
+  const auto [fast_a, fast_b] = plan.CorrelatePair(kernel_a, kernel_b);
+  ExpectMatchesNaive(data, kernel_a, fast_a, 1e-9, "1x12 kernel");
+  ExpectMatchesNaive(data, kernel_b, fast_b, 1e-9, "1x5 kernel");
 }
 
 TEST(CorrelatePairTest, AgreesWithSingleKernelCorrelate) {

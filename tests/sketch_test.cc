@@ -108,40 +108,45 @@ TEST(SketcherTest, SketchIsLinearInTheObject) {
   }
 }
 
-TEST(SketcherTest, FieldMatchesDirectSketchAtEveryPosition) {
+// A window shape over a table.
+struct FieldCase {
+  size_t rows, cols, window_rows, window_cols;
+};
+
+void ExpectFieldMatchesDirectSketches(const FieldCase& tc) {
   SketchParams params{.p = 1.0, .k = 5, .seed = 11};
   auto sketcher = Sketcher::Create(params);
   ASSERT_TRUE(sketcher.ok());
-  const table::Matrix data = RandomTable(12, 10, 4);
-  constexpr size_t kWr = 3;
-  constexpr size_t kWc = 4;
-  auto field_or = sketcher->SketchAllPositions(data, kWr, kWc,
-                                               SketchAlgorithm::kNaive);
+  const table::Matrix data = RandomTable(tc.rows, tc.cols, 4);
+  auto field_or = sketcher->SketchAllPositions(
+      data, tc.window_rows, tc.window_cols, SketchAlgorithm::kNaive);
   ASSERT_TRUE(field_or.ok());
   const SketchField& field = *field_or;
-  ASSERT_EQ(field.position_rows(), data.rows() - kWr + 1);
-  ASSERT_EQ(field.position_cols(), data.cols() - kWc + 1);
+  ASSERT_EQ(field.position_rows(), data.rows() - tc.window_rows + 1);
+  ASSERT_EQ(field.position_cols(), data.cols() - tc.window_cols + 1);
   for (size_t r = 0; r < field.position_rows(); r += 3) {
     for (size_t c = 0; c < field.position_cols(); c += 2) {
-      const Sketch direct = sketcher->SketchOf(data.Window(r, c, kWr, kWc));
+      const Sketch direct = sketcher->SketchOf(
+          data.Window(r, c, tc.window_rows, tc.window_cols));
       const Sketch from_field = field.SketchAt(r, c);
       for (size_t i = 0; i < params.k; ++i) {
         EXPECT_NEAR(direct.values[i], from_field.values[i], 1e-8)
-            << "at (" << r << "," << c << ") component " << i;
+            << tc.rows << "x" << tc.cols << " at (" << r << "," << c
+            << ") component " << i;
       }
     }
   }
 }
 
-TEST(SketcherTest, FftFieldMatchesNaiveField) {
+void ExpectFftFieldMatchesNaiveField(const FieldCase& tc) {
   SketchParams params{.p = 0.5, .k = 4, .seed = 17};
   auto sketcher = Sketcher::Create(params);
   ASSERT_TRUE(sketcher.ok());
-  const table::Matrix data = RandomTable(20, 14, 8);
-  auto naive_or =
-      sketcher->SketchAllPositions(data, 4, 4, SketchAlgorithm::kNaive);
-  auto fft_or =
-      sketcher->SketchAllPositions(data, 4, 4, SketchAlgorithm::kFft);
+  const table::Matrix data = RandomTable(tc.rows, tc.cols, 8);
+  auto naive_or = sketcher->SketchAllPositions(
+      data, tc.window_rows, tc.window_cols, SketchAlgorithm::kNaive);
+  auto fft_or = sketcher->SketchAllPositions(
+      data, tc.window_rows, tc.window_cols, SketchAlgorithm::kFft);
   ASSERT_TRUE(naive_or.ok());
   ASSERT_TRUE(fft_or.ok());
   const SketchField& naive = *naive_or;
@@ -152,10 +157,29 @@ TEST(SketcherTest, FftFieldMatchesNaiveField) {
     for (size_t r = 0; r < naive.position_rows(); ++r) {
       for (size_t c = 0; c < naive.position_cols(); ++c) {
         EXPECT_NEAR(naive.plane(i).At(r, c), fft.plane(i).At(r, c), 1e-6)
-            << "plane " << i << " at (" << r << "," << c << ")";
+            << tc.rows << "x" << tc.cols << " plane " << i << " at (" << r
+            << "," << c << ")";
       }
     }
   }
+}
+
+TEST(SketcherTest, FieldMatchesDirectSketchAtEveryPosition) {
+  ExpectFieldMatchesDirectSketches({12, 10, 3, 4});
+}
+
+TEST(SketcherTest, FftFieldMatchesNaiveField) {
+  ExpectFftFieldMatchesNaiveField({20, 14, 4, 4});
+}
+
+// A time series is a 1 x n table: series sketches are 1 x n sketches of the
+// 2-D family, so the series cases run the 2-D checks on one row.
+TEST(SeriesSketcherTest, FieldMatchesDirectSketches) {
+  ExpectFieldMatchesDirectSketches({1, 160, 1, 12});
+}
+
+TEST(SeriesSketcherTest, FftFieldMatchesNaiveField) {
+  ExpectFftFieldMatchesNaiveField({1, 160, 1, 12});
 }
 
 TEST(SketchFieldTest, AccumulateMatchesSketchAt) {
@@ -257,6 +281,26 @@ TEST(SketcherTest, OversizedWindowIsInvalidArgument) {
     auto empty = sketcher->SketchAllPositions(data, 0, 2, algorithm);
     ASSERT_FALSE(empty.ok());
     EXPECT_EQ(empty.status().code(), util::StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(SeriesSketcherTest, OversizedWindowIsInvalidArgument) {
+  // A window longer than the 1 x n series, or of length zero.
+  auto sketcher = Sketcher::Create({.p = 1.0, .k = 2, .seed = 9});
+  ASSERT_TRUE(sketcher.ok());
+  const table::Matrix series = RandomTable(1, 16, 10);
+  for (const SketchAlgorithm algorithm :
+       {SketchAlgorithm::kNaive, SketchAlgorithm::kFft,
+        SketchAlgorithm::kAuto}) {
+    auto oversized = sketcher->SketchAllPositions(series, 1, 17, algorithm);
+    ASSERT_FALSE(oversized.ok());
+    EXPECT_EQ(oversized.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(oversized.status().message().find("does not fit"),
+              std::string::npos)
+        << oversized.status().message();
+    auto zero = sketcher->SketchAllPositions(series, 1, 0, algorithm);
+    ASSERT_FALSE(zero.ok());
+    EXPECT_EQ(zero.status().code(), util::StatusCode::kInvalidArgument);
   }
 }
 

@@ -19,7 +19,6 @@
 #include "core/code_kernels.h"
 #include "core/estimator.h"
 #include "core/lp_distance.h"
-#include "core/series_sketch.h"
 #include "core/sketch_pool.h"
 #include "core/sketcher.h"
 #include "core/sparse_kernel.h"
@@ -36,13 +35,6 @@ table::Matrix RandomTable(size_t rows, size_t cols, uint64_t seed) {
   rng::Xoshiro256 gen(seed);
   table::Matrix out(rows, cols);
   for (double& v : out.Values()) v = gen.NextDouble() * 20.0 - 10.0;
-  return out;
-}
-
-std::vector<double> RandomSeries(size_t n, uint64_t seed) {
-  rng::Xoshiro256 gen(seed);
-  std::vector<double> out(n);
-  for (double& v : out) v = gen.NextDouble() * 20.0 - 10.0;
   return out;
 }
 
@@ -209,18 +201,25 @@ TEST(SparseSketcherTest, SketchOfMatchesDenseKernelWalk) {
   }
 }
 
-TEST(SparseSketcherTest, AllAlgorithmsAgreeOnSparseFields) {
+struct SparseFieldCase {
+  double sparsity;
+  uint64_t seed;
+  size_t rows, cols, window_rows, window_cols;
+};
+
+void ExpectAllAlgorithmsAgree(const SparseFieldCase& tc) {
   const core::SketchParams params{
-      .p = 1.0, .k = 6, .seed = 29, .sparsity = 0.15};
+      .p = 1.0, .k = 6, .seed = tc.seed, .sparsity = tc.sparsity};
   auto sketcher = core::Sketcher::Create(params);
   ASSERT_TRUE(sketcher.ok());
-  const table::Matrix data = RandomTable(24, 20, 31);
-  auto naive = sketcher->SketchAllPositions(data, 4, 5,
-                                            core::SketchAlgorithm::kNaive);
-  auto fft = sketcher->SketchAllPositions(data, 4, 5,
-                                          core::SketchAlgorithm::kFft);
-  auto auto_path = sketcher->SketchAllPositions(data, 4, 5,
-                                                core::SketchAlgorithm::kAuto);
+  const table::Matrix data = RandomTable(tc.rows, tc.cols, 31);
+  auto field = [&](core::SketchAlgorithm algorithm) {
+    return sketcher->SketchAllPositions(data, tc.window_rows, tc.window_cols,
+                                        algorithm);
+  };
+  auto naive = field(core::SketchAlgorithm::kNaive);
+  auto fft = field(core::SketchAlgorithm::kFft);
+  auto auto_path = field(core::SketchAlgorithm::kAuto);
   ASSERT_TRUE(naive.ok() && fft.ok() && auto_path.ok());
   for (size_t r = 0; r < naive->position_rows(); ++r) {
     for (size_t c = 0; c < naive->position_cols(); ++c) {
@@ -228,35 +227,23 @@ TEST(SparseSketcherTest, AllAlgorithmsAgreeOnSparseFields) {
       const core::Sketch sf = fft->SketchAt(r, c);
       const core::Sketch sa = auto_path->SketchAt(r, c);
       for (size_t i = 0; i < params.k; ++i) {
-        EXPECT_NEAR(sf.values[i], sn.values[i], 1e-9);
-        EXPECT_NEAR(sa.values[i], sn.values[i], 1e-9);
+        EXPECT_NEAR(sf.values[i], sn.values[i], 1e-9)
+            << tc.rows << "x" << tc.cols << " at (" << r << "," << c << ")";
+        EXPECT_NEAR(sa.values[i], sn.values[i], 1e-9)
+            << tc.rows << "x" << tc.cols << " at (" << r << "," << c << ")";
       }
     }
   }
 }
 
+TEST(SparseSketcherTest, AllAlgorithmsAgreeOnSparseFields) {
+  ExpectAllAlgorithmsAgree({0.15, 29, 24, 20, 4, 5});
+}
+
 TEST(SparseSeriesSketcherTest, AllAlgorithmsAgreeOnSparseFields) {
-  const core::SketchParams params{
-      .p = 1.0, .k = 5, .seed = 41, .sparsity = 0.2};
-  auto sketcher = core::SeriesSketcher::Create(params);
-  ASSERT_TRUE(sketcher.ok());
-  const std::vector<double> series = RandomSeries(160, 43);
-  auto naive = sketcher->SketchAllPositions(series, 12,
-                                            core::SketchAlgorithm::kNaive);
-  auto fft = sketcher->SketchAllPositions(series, 12,
-                                          core::SketchAlgorithm::kFft);
-  auto auto_path = sketcher->SketchAllPositions(
-      series, 12, core::SketchAlgorithm::kAuto);
-  ASSERT_TRUE(naive.ok() && fft.ok() && auto_path.ok());
-  for (size_t pos = 0; pos < naive->positions(); ++pos) {
-    const core::Sketch sn = naive->SketchAt(pos);
-    const core::Sketch sf = fft->SketchAt(pos);
-    const core::Sketch sa = auto_path->SketchAt(pos);
-    for (size_t i = 0; i < params.k; ++i) {
-      EXPECT_NEAR(sf.values[i], sn.values[i], 1e-9);
-      EXPECT_NEAR(sa.values[i], sn.values[i], 1e-9);
-    }
-  }
+  // A time series is a 1 x n table: series windows are 1 x n windows of the
+  // same 2-D family.
+  ExpectAllAlgorithmsAgree({0.2, 41, 1, 160, 1, 12});
 }
 
 // --- pool byte-identity across thread counts --------------------------------
